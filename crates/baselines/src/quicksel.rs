@@ -23,7 +23,7 @@ use selearn_core::{
     TrainingQuery, WeightSolver,
 };
 use selearn_geom::{Range, RangeQuery, Rect, VolumeEstimator, EPS};
-use selearn_solver::{DenseMatrix, SolveReport};
+use selearn_solver::{SolveReport, SparseMatrix};
 
 /// QuickSel configuration.
 #[derive(Clone, Debug)]
@@ -86,7 +86,7 @@ impl QuickSel {
         // drop degenerate kernels
         kernels.retain(|k| k.volume() > EPS);
 
-        let mut a = DenseMatrix::zeros(0, 0);
+        let mut a = SparseMatrix::new(kernels.len());
         let mut s = Vec::with_capacity(queries.len());
         for q in queries {
             let row: Vec<f64> = kernels

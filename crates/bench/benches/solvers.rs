@@ -1,12 +1,13 @@
 //! Weight-estimation solver benchmarks: FISTA vs NNLS vs IPF on design
-//! matrices shaped like Equation (6)'s (queries × buckets).
+//! matrices shaped like Equation (6)'s (queries × buckets). FISTA runs on
+//! the CSR layout the estimators assemble; NNLS and IPF on the dense one.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selearn_solver::{
     fista_simplex_ls, ipf_max_entropy, nnls_simplex, DenseMatrix, FistaOptions, IpfOptions,
-    NnlsOptions,
+    NnlsOptions, SparseMatrix,
 };
 
 /// Sparse-ish coverage matrix with entries in [0, 1] like Equation (6).
@@ -34,9 +35,10 @@ fn bench_solvers(c: &mut Criterion) {
     g.sample_size(10);
     for (n, m) in [(50usize, 200usize), (200, 800)] {
         let (a, s) = design(n, m, 5);
+        let csr = SparseMatrix::from_dense(&a);
         g.bench_with_input(
             BenchmarkId::new("fista", format!("{n}x{m}")),
-            &(&a, &s),
+            &(&csr, &s),
             |b, (a, s)| b.iter(|| fista_simplex_ls(black_box(a), s, &FistaOptions::default())),
         );
         g.bench_with_input(

@@ -19,7 +19,7 @@ use crate::weights::{estimate_weights, Objective, WeightSolver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selearn_geom::{grid_arrangement, sample_in_rect, Point, Range, RangeQuery, Rect, EPS};
-use selearn_solver::DenseMatrix;
+use selearn_solver::SparseMatrix;
 
 /// Configuration for [`ArrangementHist`].
 #[derive(Clone, Debug)]
@@ -103,7 +103,7 @@ impl ArrangementHist {
 
         // Design matrix: each cell is entirely in or out of each range, so
         // entries are (numerically) 0/1 in histogram mode too.
-        let mut a = DenseMatrix::zeros(0, 0);
+        let mut a = SparseMatrix::new(cells.len());
         let mut s = Vec::with_capacity(queries.len());
         for (q, rect) in queries.iter().zip(&rects) {
             let row: Vec<f64> = if config.discrete {

@@ -30,7 +30,7 @@ use selearn_geom::{
     inv_std_normal_cdf, normal_mass, sample_in_rect, std_normal_cdf, Point, Range, RangeQuery,
     Rect, RejectionSampler,
 };
-use selearn_solver::DenseMatrix;
+use selearn_solver::SparseMatrix;
 
 /// GaussHist configuration.
 #[derive(Clone, Debug)]
@@ -158,7 +158,7 @@ impl GaussHist {
             sigma: config.bandwidth,
             qmc_samples: config.qmc_samples,
         };
-        let mut a = DenseMatrix::zeros(0, 0);
+        let mut a = SparseMatrix::new(probe.centers.len());
         let mut s = Vec::with_capacity(queries.len());
         for q in queries {
             let row: Vec<f64> = probe

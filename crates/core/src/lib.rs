@@ -29,7 +29,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod arrangement_hist;
-pub(crate) mod assemble;
+pub mod assemble;
 pub mod cdf1d;
 pub mod error;
 pub mod estimator;
@@ -60,4 +60,6 @@ pub use quantize::{
     quantize_ball_key, quantize_ball_key_into, quantize_halfspace_key,
     quantize_halfspace_key_into, quantize_rect_key, quantize_rect_key_into,
 };
-pub use weights::{estimate_weights, estimate_weights_with_report, Objective, WeightSolver};
+pub use weights::{
+    estimate_weights, estimate_weights_with_report, DesignMatrix, Objective, WeightSolver,
+};

@@ -360,10 +360,11 @@ impl OnlineQuadHist {
         self.history.len()
     }
 
-    /// Converts into a frozen batch model (refitting first). With a
-    /// history cap, the batch model is trained on the retained window.
-    pub fn freeze(mut self) -> Result<QuadHist, SelearnError> {
-        self.refit()?;
+    /// Converts into a batch model: [`QuadHist::fit`] on the retained
+    /// feedback window (all of it without a history cap). The fit runs the
+    /// one weight solve; this model's own weights are not refit first.
+    pub fn freeze(self) -> Result<QuadHist, SelearnError> {
+        let _span = selearn_obs::span!("freeze.online");
         let window: Vec<TrainingQuery> = self.history.into_iter().collect();
         QuadHist::fit(self.root, &window, &self.config)
     }
@@ -470,13 +471,26 @@ mod tests {
     #[test]
     fn freeze_produces_equivalent_batch_model() {
         let cfg = QuadHistConfig::with_tau(0.05);
-        let mut online = OnlineQuadHist::new(Rect::unit(2), cfg.clone(), 3).unwrap();
+        let mut online = OnlineQuadHist::new(Rect::unit(2), cfg.clone(), 4).unwrap();
         for q in stream() {
             online.observe(q).unwrap();
         }
+        // two observations are pending a refit; freeze must not care
         let frozen = online.freeze().unwrap();
         let batch = QuadHist::fit(Rect::unit(2), &stream(), &cfg).unwrap();
         assert_eq!(frozen.num_buckets(), batch.num_buckets());
+        let probes = stream().into_iter().map(|q| q.range).chain([
+            Rect::unit(2).into(),
+            Rect::new(vec![0.1, 0.3], vec![0.7, 0.6]).into(),
+            Rect::new(vec![0.45, 0.05], vec![0.55, 0.95]).into(),
+        ]);
+        for r in probes {
+            assert_eq!(
+                frozen.estimate(&r).to_bits(),
+                batch.estimate(&r).to_bits(),
+                "frozen and batch answers differ on {r:?}"
+            );
+        }
     }
 
     #[test]

@@ -336,11 +336,17 @@ impl QuadHist {
                 });
             }
         }
+        // Corner comparisons (`cells_match` calls): one per leaf through the
+        // index, where a linear search would make O(buckets) per leaf.
+        let mut comparisons = 0u64;
         for &leaf in &leaves {
             let cell = tree.rect(leaf);
             let matched = cell_key(&root_rect, cell)
                 .and_then(|key| index.get(&key))
-                .filter(|&&i| cells_match(&root_rect, &buckets[i].0, cell));
+                .filter(|&&i| {
+                    comparisons += 1;
+                    cells_match(&root_rect, &buckets[i].0, cell)
+                });
             let Some(&i) = matched else {
                 return Err(SelearnError::CorruptModel {
                     what: format!("reconstructed leaf {cell:?} missing from the dump"),
@@ -348,6 +354,7 @@ impl QuadHist {
             };
             node_weight[leaf] = buckets[i].1;
         }
+        selearn_obs::counter_add("restore_corner_comparisons", comparisons);
         Ok(Self {
             num_leaves: leaves.len(),
             tree,

@@ -12,12 +12,59 @@
 //! `A[i][j] = vol(B_j ∩ R_i)/vol(B_j)` for histogram buckets (Equation 6)
 //! or `A[i][j] = 1(B_j ∈ R_i)` for discrete support points (Equation 7).
 
+use std::borrow::Cow;
+
 use selearn_solver::{
     fista_simplex_ls, linf_fit_exact, linf_fit_smoothed_with_report, nnls_simplex_with_report,
-    DenseMatrix, FistaOptions, LinfOptions, NnlsOptions, SolveReport, SolverError,
+    DenseMatrix, FistaOptions, LinfOptions, NnlsOptions, SolveReport, SolverError, SparseMatrix,
 };
 
 use crate::error::SelearnError;
+
+/// A design matrix [`estimate_weights`] accepts. The estimators assemble a
+/// CSR [`SparseMatrix`] (see [`crate::assemble`]), which FISTA iterates on
+/// directly; NNLS and the `L∞` solvers factor or pivot on a
+/// [`DenseMatrix`]. Each layout hands out the other as a one-off copy.
+pub trait DesignMatrix {
+    /// Number of rows (training queries).
+    fn rows(&self) -> usize;
+    /// Number of columns (buckets).
+    fn cols(&self) -> usize;
+    /// The CSR layout.
+    fn sparse(&self) -> Cow<'_, SparseMatrix>;
+    /// The dense layout.
+    fn dense(&self) -> Cow<'_, DenseMatrix>;
+}
+
+impl DesignMatrix for SparseMatrix {
+    fn rows(&self) -> usize {
+        SparseMatrix::rows(self)
+    }
+    fn cols(&self) -> usize {
+        SparseMatrix::cols(self)
+    }
+    fn sparse(&self) -> Cow<'_, SparseMatrix> {
+        Cow::Borrowed(self)
+    }
+    fn dense(&self) -> Cow<'_, DenseMatrix> {
+        Cow::Owned(self.to_dense())
+    }
+}
+
+impl DesignMatrix for DenseMatrix {
+    fn rows(&self) -> usize {
+        DenseMatrix::rows(self)
+    }
+    fn cols(&self) -> usize {
+        DenseMatrix::cols(self)
+    }
+    fn sparse(&self) -> Cow<'_, SparseMatrix> {
+        Cow::Owned(SparseMatrix::from_dense(self))
+    }
+    fn dense(&self) -> Cow<'_, DenseMatrix> {
+        Cow::Borrowed(self)
+    }
+}
 
 /// Which algorithm solves the constrained fit.
 #[derive(Clone, Debug, Default)]
@@ -49,8 +96,8 @@ pub enum Objective {
 /// Returns weights on the probability simplex. An empty bucket set or a
 /// non-finite entry is a typed [`SelearnError`]; an empty query set
 /// returns the uniform distribution (no information).
-pub fn estimate_weights(
-    a: &DenseMatrix,
+pub fn estimate_weights<M: DesignMatrix + ?Sized>(
+    a: &M,
     s: &[f64],
     objective: &Objective,
     solver: &WeightSolver,
@@ -65,8 +112,8 @@ pub fn estimate_weights(
 /// means the solver exhausted its iteration budget and returned the last
 /// iterate — surfaced here with a debug log (not a panic: the iterate is
 /// still feasible and usually near-optimal; see `solver::report`).
-pub fn estimate_weights_with_report(
-    a: &DenseMatrix,
+pub fn estimate_weights_with_report<M: DesignMatrix + ?Sized>(
+    a: &M,
     s: &[f64],
     objective: &Objective,
     solver: &WeightSolver,
@@ -84,28 +131,33 @@ pub fn estimate_weights_with_report(
     let (w, report) = match objective {
         Objective::L2 => match solver {
             WeightSolver::Fista => {
-                let r = fista_simplex_ls(a, s, &FistaOptions::default())?;
+                let r = fista_simplex_ls(&a.sparse(), s, &FistaOptions::default())?;
                 let report = r.report();
                 (r.weights, Some(report))
             }
             WeightSolver::NnlsPenalty => {
-                let (w, report) = nnls_simplex_with_report(a, s, &NnlsOptions::default())?;
+                let (w, report) = nnls_simplex_with_report(&a.dense(), s, &NnlsOptions::default())?;
                 (w, Some(report))
             }
         },
-        Objective::LInfExact => match linf_fit_exact(a, s) {
-            Ok(w) => (w, None), // exact LP: no iterative report
-            // The LP failing to reach an optimum (degenerate pivoting) is
-            // recoverable: fall back to the smoothed solver. Real input
-            // errors propagate.
-            Err(SolverError::LpNotOptimal { .. }) => {
-                let (w, report) = linf_fit_smoothed_with_report(a, s, &LinfOptions::default())?;
-                (w, Some(report))
+        Objective::LInfExact => {
+            let a = a.dense();
+            match linf_fit_exact(&a, s) {
+                Ok(w) => (w, None), // exact LP: no iterative report
+                // The LP failing to reach an optimum (degenerate pivoting) is
+                // recoverable: fall back to the smoothed solver. Real input
+                // errors propagate.
+                Err(SolverError::LpNotOptimal { .. }) => {
+                    let (w, report) =
+                        linf_fit_smoothed_with_report(&a, s, &LinfOptions::default())?;
+                    (w, Some(report))
+                }
+                Err(e) => return Err(e.into()),
             }
-            Err(e) => return Err(e.into()),
-        },
+        }
         Objective::LInfSmoothed => {
-            let (w, report) = linf_fit_smoothed_with_report(a, s, &LinfOptions::default())?;
+            let (w, report) =
+                linf_fit_smoothed_with_report(&a.dense(), s, &LinfOptions::default())?;
             (w, Some(report))
         }
     };

@@ -1,14 +1,19 @@
 //! FISTA — accelerated projected gradient descent on the simplex.
 //!
 //! Default solver for the weight-estimation QP (Equation 8):
-//! `min ‖Aw − s‖²` over the probability simplex. Each iteration costs two
-//! matrix-vector products, so it scales to the paper's largest instances
-//! (2000 training queries × 8000 buckets) where an active-set method would
-//! struggle. Uses the Beck–Teboulle momentum schedule with adaptive restart
+//! `min ‖Aw − s‖²` over the probability simplex. It runs on the CSR design
+//! matrix, and each iteration reads it twice: one `Aᵀr` for the gradient
+//! at the extrapolated point `y`, one `A·w` for the new iterate's loss.
+//! `A·y` needs no third pass: by linearity
+//! `A·y_{k+1} = A·w_{k+1} + β(A·w_{k+1} − A·w_k)`, and `A·w` is computed
+//! fresh for every iterate, so rounding cannot accumulate across
+//! iterations. It scales to the paper's largest instances (2000 training
+//! queries × 8000 buckets) where an active-set method would struggle. Uses
+//! the Beck–Teboulle momentum schedule with adaptive restart
 //! (O'Donoghue–Candès) for robustness.
 
 use crate::error::{check_finite, check_len, SolverError};
-use crate::matrix::DenseMatrix;
+use crate::matrix::{sq_dist, SparseMatrix};
 use crate::report::SolveReport;
 use crate::simplex_proj::simplex_projection;
 
@@ -74,7 +79,7 @@ impl FistaResult {
 /// Returns a typed [`SolverError`] when `a` has zero columns, the row
 /// count differs from `s`, or any input entry is NaN/infinite.
 pub fn fista_simplex_ls(
-    a: &DenseMatrix,
+    a: &SparseMatrix,
     s: &[f64],
     opts: &FistaOptions,
 ) -> Result<FistaResult, SolverError> {
@@ -104,11 +109,13 @@ pub fn fista_simplex_ls(
     let lip = (2.0 * lambda).max(1e-12);
     let step = 1.0 / lip;
 
-    // Start from the uniform distribution.
+    // Start from the uniform distribution. `aw`/`ay` track A·w and A·y.
     let mut w = vec![1.0 / m as f64; m];
+    let mut aw = a.matvec(&w);
     let mut y = w.clone();
+    let mut ay = aw.clone();
     let mut t = 1.0f64;
-    let mut loss_prev = a.residual_sq(&w, s);
+    let mut loss_prev = sq_dist(&aw, s);
     let mut iters = 0;
     let mut converged = false;
 
@@ -118,52 +125,38 @@ pub fn fista_simplex_ls(
             selearn_obs::solver_iteration("fista", k, loss_prev.max(0.0).sqrt(), step);
         }
         // gradient step at the extrapolated point y
-        let r = a.residual(&y, s);
-        let g = a.matvec_t(&r); // = ∇f(y) / 2
-        let mut w_next: Vec<f64> = y
-            .iter()
-            .zip(&g)
-            .map(|(&yi, &gi)| yi - 2.0 * step * gi)
-            .collect();
-        simplex_projection(&mut w_next);
-
-        let loss = a.residual_sq(&w_next, s);
+        let w_next = projected_step(a, &y, &ay, s, step);
+        let aw_next = a.matvec(&w_next);
+        let loss = sq_dist(&aw_next, s);
         // adaptive restart: if the objective went up, drop the momentum
         if loss > loss_prev {
             t = 1.0;
-            y = w.clone();
             // re-take a plain projected-gradient step from w
-            let r = a.residual(&w, s);
-            let g = a.matvec_t(&r);
-            let mut w_pg: Vec<f64> = w
-                .iter()
-                .zip(&g)
-                .map(|(&wi, &gi)| wi - 2.0 * step * gi)
-                .collect();
-            simplex_projection(&mut w_pg);
-            let loss_pg = a.residual_sq(&w_pg, s);
+            let w_pg = projected_step(a, &w, &aw, s, step);
+            let aw_pg = a.matvec(&w_pg);
+            let loss_pg = sq_dist(&aw_pg, s);
             if loss_pg <= loss_prev {
+                let stalled = loss_prev - loss_pg < opts.rel_tol * (loss_prev + 1e-12);
                 w = w_pg;
-                y = w.clone();
-                if loss_prev - loss_pg < opts.rel_tol * (loss_prev + 1e-12) {
-                    loss_prev = loss_pg;
+                aw = aw_pg;
+                loss_prev = loss_pg;
+                if stalled {
                     converged = true;
                     break;
                 }
-                loss_prev = loss_pg;
             }
+            y = w.clone();
+            ay = aw.clone();
             continue;
         }
 
         let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
         let beta = (t - 1.0) / t_next;
-        y = w_next
-            .iter()
-            .zip(&w)
-            .map(|(&wn, &wo)| wn + beta * (wn - wo))
-            .collect();
+        y = extrapolate(&w_next, &w, beta);
+        ay = extrapolate(&aw_next, &aw, beta);
         let improved = loss_prev - loss;
         w = w_next;
+        aw = aw_next;
         t = t_next;
         if improved >= 0.0 && improved < opts.rel_tol * (loss_prev + 1e-12) {
             loss_prev = loss;
@@ -186,9 +179,32 @@ pub fn fista_simplex_ls(
     Ok(result)
 }
 
+/// One projected-gradient step from `x`, given `ax = A·x`: the simplex
+/// projection of `x − 2·step·Aᵀ(Ax − s)`. One pass over `A`.
+fn projected_step(a: &SparseMatrix, x: &[f64], ax: &[f64], s: &[f64], step: f64) -> Vec<f64> {
+    let r: Vec<f64> = ax.iter().zip(s).map(|(axi, si)| axi - si).collect();
+    let g = a.matvec_t(&r); // = ∇f(x) / 2
+    let mut next: Vec<f64> = x
+        .iter()
+        .zip(&g)
+        .map(|(&xi, &gi)| xi - 2.0 * step * gi)
+        .collect();
+    simplex_projection(&mut next);
+    next
+}
+
+/// The momentum point `new + β(new − old)`.
+fn extrapolate(new: &[f64], old: &[f64], beta: f64) -> Vec<f64> {
+    new.iter()
+        .zip(old)
+        .map(|(&n, &o)| n + beta * (n - o))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::DenseMatrix;
 
     fn on_simplex(v: &[f64]) -> bool {
         (v.iter().sum::<f64>() - 1.0).abs() < 1e-7 && v.iter().all(|&x| x >= -1e-12)
@@ -199,7 +215,8 @@ mod tests {
         // A = I, s on the simplex ⇒ w = s exactly, loss 0.
         let a = DenseMatrix::identity(3);
         let s = vec![0.2, 0.3, 0.5];
-        let r = fista_simplex_ls(&a, &s, &FistaOptions::default()).unwrap();
+        let r =
+            fista_simplex_ls(&SparseMatrix::from_dense(&a), &s, &FistaOptions::default()).unwrap();
         assert!(on_simplex(&r.weights));
         assert!(r.loss < 1e-12, "loss = {}", r.loss);
         for (w, t) in r.weights.iter().zip(&s) {
@@ -212,7 +229,8 @@ mod tests {
         // s outside the simplex image: best fit is the simplex projection.
         let a = DenseMatrix::identity(2);
         let s = vec![2.0, 0.0];
-        let r = fista_simplex_ls(&a, &s, &FistaOptions::default()).unwrap();
+        let r =
+            fista_simplex_ls(&SparseMatrix::from_dense(&a), &s, &FistaOptions::default()).unwrap();
         assert!(on_simplex(&r.weights));
         // projection of (2, 0) onto the simplex is (1, 0)
         assert!((r.weights[0] - 1.0).abs() < 1e-6, "{:?}", r.weights);
@@ -227,7 +245,8 @@ mod tests {
             vec![1.0, 1.0],
         ]);
         let s = vec![0.25, 0.75, 1.0];
-        let r = fista_simplex_ls(&a, &s, &FistaOptions::default()).unwrap();
+        let r =
+            fista_simplex_ls(&SparseMatrix::from_dense(&a), &s, &FistaOptions::default()).unwrap();
         assert!(r.loss < 1e-10, "loss = {}", r.loss);
         assert!((r.weights[0] - 0.25).abs() < 1e-5);
         assert!((r.weights[1] - 0.75).abs() < 1e-5);
@@ -238,7 +257,8 @@ mod tests {
         // Dense 1-D sweep over the 1-simplex validates global optimality.
         let a = DenseMatrix::from_rows(&[vec![0.8, 0.1], vec![0.3, 0.9], vec![0.5, 0.5]]);
         let s = vec![0.4, 0.6, 0.55];
-        let r = fista_simplex_ls(&a, &s, &FistaOptions::default()).unwrap();
+        let r =
+            fista_simplex_ls(&SparseMatrix::from_dense(&a), &s, &FistaOptions::default()).unwrap();
         let mut best = f64::INFINITY;
         for i in 0..=10_000 {
             let w0 = i as f64 / 10_000.0;
@@ -252,7 +272,8 @@ mod tests {
     fn zero_matrix_stays_feasible() {
         let a = DenseMatrix::zeros(2, 3);
         let s = vec![0.5, 0.5];
-        let r = fista_simplex_ls(&a, &s, &FistaOptions::default()).unwrap();
+        let r =
+            fista_simplex_ls(&SparseMatrix::from_dense(&a), &s, &FistaOptions::default()).unwrap();
         assert!(on_simplex(&r.weights));
         assert!((r.loss - 0.5).abs() < 1e-12); // residual is −s regardless
     }
@@ -265,7 +286,7 @@ mod tests {
             max_iters: 3,
             ..Default::default()
         };
-        let r = fista_simplex_ls(&a, &s, &opts).unwrap();
+        let r = fista_simplex_ls(&SparseMatrix::from_dense(&a), &s, &opts).unwrap();
         assert!(r.iters <= 3);
     }
 
@@ -279,7 +300,7 @@ mod tests {
             max_iters: 1,
             ..Default::default()
         };
-        let r = fista_simplex_ls(&a, &s, &opts).unwrap();
+        let r = fista_simplex_ls(&SparseMatrix::from_dense(&a), &s, &opts).unwrap();
         assert!(!r.converged);
         let rep = r.report();
         assert_eq!(rep.solver, "fista");
@@ -288,7 +309,8 @@ mod tests {
         assert!(rep.final_residual.is_finite());
 
         // ...and a generous budget converges and reports it.
-        let r = fista_simplex_ls(&a, &s, &FistaOptions::default()).unwrap();
+        let r =
+            fista_simplex_ls(&SparseMatrix::from_dense(&a), &s, &FistaOptions::default()).unwrap();
         assert!(r.converged);
         assert!(r.iters < r.max_iters);
     }
@@ -304,7 +326,8 @@ mod tests {
             let n = rows.len();
             let a = DenseMatrix::from_rows(&rows);
             let s = &s[..n];
-            let r = fista_simplex_ls(&a, s, &FistaOptions::default()).unwrap();
+            let csr = SparseMatrix::from_dense(&a);
+            let r = fista_simplex_ls(&csr, s, &FistaOptions::default()).unwrap();
             proptest::prop_assert!(on_simplex(&r.weights));
             let uniform = vec![0.25; 4];
             proptest::prop_assert!(r.loss <= a.residual_sq(&uniform, s) + 1e-8);

@@ -11,8 +11,10 @@
 //! over bucket weights `w`. The authors used `scipy.optimize.nnls`; this
 //! crate re-implements everything from scratch:
 //!
-//! * [`DenseMatrix`] — minimal dense linear algebra (matvec, Gram matrices,
-//!   Cholesky) sized for the paper's problem scales;
+//! * [`SparseMatrix`] — the CSR design matrix FISTA iterates on, with
+//!   kernels bitwise equal to the dense ones; [`DenseMatrix`] — minimal
+//!   dense linear algebra (matvec, Gram matrices, Cholesky) for the
+//!   factoring and pivoting solvers;
 //! * [`nnls::nnls`] — Lawson–Hanson non-negative least squares, with a penalty
 //!   row enforcing `Σ w = 1` (the scipy-style pathway);
 //! * [`simplex_projection`] — Euclidean projection onto the probability
@@ -48,7 +50,7 @@ pub use ipf::{ipf_max_entropy, IpfOptions, IpfResult};
 pub use isotonic::{isotonic_regression, isotonic_regression_unweighted};
 pub use linf::{linf_fit_exact, linf_fit_smoothed, linf_fit_smoothed_with_report, LinfOptions};
 pub use linprog::{linprog, Constraint, ConstraintOp, LpResult, LpStatus};
-pub use matrix::DenseMatrix;
+pub use matrix::{DenseMatrix, SparseMatrix};
 pub use nnls::{nnls, nnls_simplex, nnls_simplex_with_report, nnls_with_report, NnlsOptions};
 pub use report::SolveReport;
 pub use simplex_proj::{simplex_projection, try_simplex_projection};

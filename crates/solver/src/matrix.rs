@@ -1,17 +1,19 @@
-//! Minimal dense linear algebra.
+//! Minimal linear algebra: a dense row-major matrix and a CSR sparse one.
 //!
 //! Sized for the paper's problem scales: design matrices with up to a few
-//! thousand rows (training queries) and columns (buckets). Row-major
-//! storage; no BLAS, no unsafe.
+//! thousand rows (training queries) and columns (buckets). No BLAS, no
+//! unsafe. A design matrix is mostly zeros — a query overlaps a minority
+//! of the buckets — so it is assembled as a [`SparseMatrix`] and FISTA
+//! iterates on that; the factoring and pivoting solvers take a
+//! [`DenseMatrix`] copy.
 //!
-//! With the `parallel` feature, [`DenseMatrix::matvec`] and
-//! [`DenseMatrix::matvec_t`] fan out across rows / columns on rayon;
-//! [`DenseMatrix::residual`], [`DenseMatrix::residual_sq`] and
-//! [`DenseMatrix::gram_spectral_norm`] inherit that parallelism. Both
-//! parallel kernels keep the serial accumulation order per output element,
-//! so results are bitwise identical to the serial build — the FISTA/NNLS
-//! iterates (and hence the trained weights) do not change with the feature
-//! or the thread count.
+//! With the `parallel` feature, `matvec` and `matvec_t` of both layouts
+//! fan out across rows / columns on rayon; `residual_sq` and
+//! `gram_spectral_norm` inherit that parallelism. Every parallel kernel
+//! keeps the serial accumulation order per output element, so results are
+//! bitwise identical to the serial build — the FISTA/NNLS iterates (and
+//! hence the trained weights) do not change with the feature or the
+//! thread count.
 
 use crate::error::SolverError;
 
@@ -183,7 +185,8 @@ impl DenseMatrix {
     /// parallel; the `O(rows)` square-and-sum stays serial (it is never the
     /// bottleneck, and the serial fold keeps the reduction order fixed).
     pub fn residual_sq(&self, x: &[f64], b: &[f64]) -> f64 {
-        self.residual(x, b).iter().map(|r| r * r).sum()
+        assert_eq!(b.len(), self.rows, "dimension mismatch");
+        sq_dist(&self.matvec(x), b)
     }
 
     /// Largest eigenvalue of `AᵀA` (squared spectral norm of `A`) estimated
@@ -192,27 +195,13 @@ impl DenseMatrix {
     /// [`Self::matvec`] plus one [`Self::matvec_t`], so the power method
     /// parallelizes (deterministically) with the `parallel` feature.
     pub fn gram_spectral_norm(&self, iters: usize) -> f64 {
-        if self.rows == 0 || self.cols == 0 {
-            return 0.0;
-        }
-        // deterministic start vector
-        let mut v: Vec<f64> = (0..self.cols)
-            .map(|j| 1.0 + (j as f64 * 0.618_033_988_749).fract())
-            .collect();
-        let mut lambda = 0.0;
-        for _ in 0..iters {
-            let av = self.matvec(&v);
-            let atav = self.matvec_t(&av);
-            let norm = atav.iter().map(|x| x * x).sum::<f64>().sqrt();
-            if norm <= f64::MIN_POSITIVE {
-                return 0.0;
-            }
-            lambda = norm;
-            for (vi, ai) in v.iter_mut().zip(&atav) {
-                *vi = ai / norm;
-            }
-        }
-        lambda
+        gram_power_iteration(
+            self.rows,
+            self.cols,
+            iters,
+            |v| self.matvec(v),
+            |v| self.matvec_t(v),
+        )
     }
 
     /// Index (flat, row-major) and value of the first non-finite entry.
@@ -306,6 +295,265 @@ impl std::ops::IndexMut<(usize, usize)> for DenseMatrix {
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// `‖ax − b‖²` given `ax = A x`: the one definition behind both layouts'
+/// `residual_sq` and FISTA's loss.
+pub(crate) fn sq_dist(ax: &[f64], b: &[f64]) -> f64 {
+    ax.iter()
+        .zip(b)
+        .map(|(axi, bi)| {
+            let r = axi - bi;
+            r * r
+        })
+        .sum()
+}
+
+/// Power iteration for `λ_max(AᵀA)` over the two products of a
+/// `rows × cols` matrix; shared by the dense and the CSR layout so both
+/// run the identical sequence of floating-point operations.
+fn gram_power_iteration(
+    rows: usize,
+    cols: usize,
+    iters: usize,
+    matvec: impl Fn(&[f64]) -> Vec<f64>,
+    matvec_t: impl Fn(&[f64]) -> Vec<f64>,
+) -> f64 {
+    if rows == 0 || cols == 0 {
+        return 0.0;
+    }
+    // deterministic start vector
+    let mut v: Vec<f64> = (0..cols)
+        .map(|j| 1.0 + (j as f64 * 0.618_033_988_749).fract())
+        .collect();
+    let mut lambda = 0.0;
+    for _ in 0..iters {
+        let atav = matvec_t(&matvec(&v));
+        let norm = atav.iter().map(|x| x * x).sum::<f64>().sqrt();
+        if norm <= f64::MIN_POSITIVE {
+            return 0.0;
+        }
+        lambda = norm;
+        for (vi, ai) in v.iter_mut().zip(&atav) {
+            *vi = ai / norm;
+        }
+    }
+    lambda
+}
+
+/// A compressed-sparse-row (CSR) matrix: the layout the weight solvers
+/// iterate over. Row `i` owns the entries `row_ptr[i]..row_ptr[i + 1]` of
+/// `col_idx` (ascending) and `values`, so storage and every product cost
+/// `O(nnz)` instead of `O(rows · cols)`.
+///
+/// # Kernel contract
+///
+/// For finite `x`, [`matvec`](Self::matvec), [`matvec_t`](Self::matvec_t),
+/// [`residual_sq`](Self::residual_sq) and
+/// [`gram_spectral_norm`](Self::gram_spectral_norm) are bitwise equal to
+/// the [`DenseMatrix`] kernels on [`to_dense`](Self::to_dense), serial or
+/// parallel. A row dot adds the stored products in ascending column order
+/// from the fold identity of [`dot`]; a column sum adds them in ascending
+/// row order from `+0.0`. The dense kernels' extra terms are products of
+/// zero entries, `±0.0`, which leave every nonzero partial sum unchanged;
+/// the one case where they matter — the sign of an all-zero row dot — is
+/// reproduced explicitly.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SparseMatrix {
+    cols: usize,
+    row_ptr: Vec<usize>,
+    col_idx: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl SparseMatrix {
+    /// An empty (zero-row) matrix `cols` wide.
+    ///
+    /// # Panics
+    /// Panics if `cols` does not fit the `u32` column index.
+    pub fn new(cols: usize) -> Self {
+        assert!(
+            u32::try_from(cols).is_ok(),
+            "too many columns for u32 indices"
+        );
+        Self {
+            cols,
+            row_ptr: vec![0],
+            col_idx: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    /// The CSR copy of a dense matrix.
+    pub fn from_dense(a: &DenseMatrix) -> Self {
+        let mut m = Self::new(a.cols());
+        for i in 0..a.rows() {
+            m.push_row(a.row(i));
+        }
+        m
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Number of stored entries.
+    pub fn nnz(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Column indices (ascending) and values of the stored entries of row `i`.
+    pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
+        let span = self.row_ptr[i]..self.row_ptr[i + 1];
+        (&self.col_idx[span.clone()], &self.values[span])
+    }
+
+    /// Appends a dense row, dropping its `+0.0` entries. A `-0.0` entry is
+    /// stored: its sign can decide the sign of a zero row dot.
+    ///
+    /// # Panics
+    /// Panics if the row length differs from `cols`.
+    pub fn push_row(&mut self, row: &[f64]) {
+        assert_eq!(row.len(), self.cols, "row length mismatch");
+        for (j, &v) in row.iter().enumerate() {
+            if v.to_bits() != 0 {
+                self.col_idx.push(j as u32);
+                self.values.push(v);
+            }
+        }
+        self.row_ptr.push(self.values.len());
+    }
+
+    /// Appends every row of `other`.
+    ///
+    /// # Panics
+    /// Panics if the column counts differ.
+    pub fn append(&mut self, other: &SparseMatrix) {
+        assert_eq!(other.cols, self.cols, "column count mismatch");
+        let base = self.values.len();
+        self.row_ptr
+            .extend(other.row_ptr[1..].iter().map(|&p| base + p));
+        self.col_idx.extend_from_slice(&other.col_idx);
+        self.values.extend_from_slice(&other.values);
+    }
+
+    /// `y = A x`. The parallel build splits over rows; each row dot is
+    /// computed whole by one task.
+    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), self.cols, "dimension mismatch");
+        #[cfg(feature = "parallel")]
+        if par_worthwhile(self.nnz()) {
+            return (0..self.rows())
+                .into_par_iter()
+                .map(|i| self.row_dot(i, x))
+                .collect();
+        }
+        (0..self.rows()).map(|i| self.row_dot(i, x)).collect()
+    }
+
+    fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
+        let (idx, vals) = self.row(i);
+        let sum: f64 = idx.iter().zip(vals).map(|(&j, &v)| v * x[j as usize]).sum();
+        if sum == 0.0 && sum.is_sign_negative() && idx.len() < self.cols {
+            // Every stored product was -0.0. The dense dot also adds
+            // +0.0 · x_j for each dropped entry, and one +0.0 term makes
+            // the sum +0.0.
+            let mut stored = idx.iter().map(|&j| j as usize).peekable();
+            for (j, xj) in x.iter().enumerate() {
+                if stored.peek() == Some(&j) {
+                    stored.next();
+                } else if !xj.is_sign_negative() {
+                    return 0.0;
+                }
+            }
+        }
+        sum
+    }
+
+    /// `y = Aᵀ x`, scattering each row into `y` in ascending row order and
+    /// skipping rows with `x_i == 0`. The parallel build splits the columns
+    /// into one contiguous range per thread; each task scans every row for
+    /// the entries in its range, so every `y_j` still adds in ascending
+    /// row order.
+    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), self.rows(), "dimension mismatch");
+        #[cfg(feature = "parallel")]
+        if par_worthwhile(self.nnz()) {
+            let tasks = rayon::current_num_threads().min(self.cols);
+            let width = self.cols.div_ceil(tasks);
+            let blocks: Vec<Vec<f64>> = (0..tasks)
+                .into_par_iter()
+                .map(|t| self.matvec_t_cols(x, t * width, ((t + 1) * width).min(self.cols)))
+                .collect();
+            return blocks.concat();
+        }
+        self.matvec_t_cols(x, 0, self.cols)
+    }
+
+    /// Entries `lo..hi` of `Aᵀ x`.
+    fn matvec_t_cols(&self, x: &[f64], lo: usize, hi: usize) -> Vec<f64> {
+        let mut y = vec![0.0; hi - lo];
+        for (i, &xi) in x.iter().enumerate() {
+            if xi == 0.0 {
+                continue;
+            }
+            let (idx, vals) = self.row(i);
+            let start = idx.partition_point(|&j| (j as usize) < lo);
+            for (&j, &v) in idx[start..].iter().zip(&vals[start..]) {
+                let j = j as usize;
+                if j >= hi {
+                    break;
+                }
+                y[j - lo] += v * xi;
+            }
+        }
+        y
+    }
+
+    /// Squared residual norm `‖A x − b‖²`.
+    pub fn residual_sq(&self, x: &[f64], b: &[f64]) -> f64 {
+        assert_eq!(b.len(), self.rows(), "dimension mismatch");
+        sq_dist(&self.matvec(x), b)
+    }
+
+    /// Largest eigenvalue of `AᵀA`, by the power iteration of
+    /// [`DenseMatrix::gram_spectral_norm`].
+    pub fn gram_spectral_norm(&self, iters: usize) -> f64 {
+        gram_power_iteration(
+            self.rows(),
+            self.cols,
+            iters,
+            |v| self.matvec(v),
+            |v| self.matvec_t(v),
+        )
+    }
+
+    /// Index (flat, row-major, as in [`DenseMatrix::first_non_finite`])
+    /// and value of the first non-finite stored entry.
+    pub fn first_non_finite(&self) -> Option<(usize, f64)> {
+        let k = self.values.iter().position(|v| !v.is_finite())?;
+        let i = self.row_ptr.partition_point(|&p| p <= k) - 1;
+        Some((i * self.cols + self.col_idx[k] as usize, self.values[k]))
+    }
+
+    /// The dense copy, for the solvers that factor or pivot on it.
+    pub fn to_dense(&self) -> DenseMatrix {
+        let mut a = DenseMatrix::zeros(self.rows(), self.cols);
+        for i in 0..self.rows() {
+            let (idx, vals) = self.row(i);
+            let row = a.row_mut(i);
+            for (&j, &v) in idx.iter().zip(vals) {
+                row[j as usize] = v;
+            }
+        }
+        a
+    }
 }
 
 #[cfg(test)]

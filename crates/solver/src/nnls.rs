@@ -355,6 +355,7 @@ mod tests {
     #[test]
     fn simplex_variant_agrees_with_fista() {
         use crate::fista::{fista_simplex_ls, FistaOptions};
+        use crate::matrix::SparseMatrix;
         let a = DenseMatrix::from_rows(&[
             vec![0.9, 0.1, 0.4],
             vec![0.2, 0.8, 0.5],
@@ -363,7 +364,9 @@ mod tests {
         ]);
         let s = vec![0.35, 0.55, 0.4, 0.5];
         let w1 = nnls_simplex(&a, &s, &NnlsOptions::default()).unwrap();
-        let w2 = fista_simplex_ls(&a, &s, &FistaOptions::default()).unwrap().weights;
+        let w2 = fista_simplex_ls(&SparseMatrix::from_dense(&a), &s, &FistaOptions::default())
+            .unwrap()
+            .weights;
         let l1 = a.residual_sq(&w1, &s);
         let l2 = a.residual_sq(&w2, &s);
         assert!(

@@ -20,6 +20,7 @@
 //! double-crash scenarios on top.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -147,9 +148,15 @@ fn assert_recovers_bitwise(dir: &std::path::Path, stream: &[TrainingQuery], acke
     );
 }
 
-/// Budget spent by an undisturbed full run — the kill-point domain.
+/// Budget spent by an undisturbed full run — the kill-point domain. Each
+/// call probes in a directory of its own: the tests calling it run
+/// concurrently and would otherwise write into one another's WAL.
 fn full_run_budget(stream: &[TrainingQuery], checkpoint_every: usize) -> i64 {
-    let dir = test_dir("budget-probe");
+    static PROBES: AtomicUsize = AtomicUsize::new(0);
+    let dir = test_dir(&format!(
+        "budget-probe-{}",
+        PROBES.fetch_add(1, Ordering::Relaxed)
+    ));
     const HUGE: i64 = i64::MAX / 2;
     let vfs = Arc::new(FaultVfs::new(StdVfs, HUGE));
     let mut store = ModelStore::open_with_vfs(Arc::clone(&vfs) as _, &dir, config())

@@ -68,13 +68,14 @@ fn pipeline_counters_match_serial_under_forced_parallelism() {
     let train = fixture_train();
     let cfg = QuadHistConfig::with_tau(0.01);
 
-    let snapshot = |threads: usize| -> (u64, u64, u64, u64) {
+    let snapshot = |threads: usize| -> (u64, u64, u64, u64, u64) {
         selearn_obs::reset();
         selearn_obs::enable_stats(true);
         let _model = with_threads(threads, || QuadHist::fit(Rect::unit(2), &train, &cfg));
         let out = (
             selearn_obs::counter_get("quadtree_splits"),
             selearn_obs::counter_get("design_matrix_entries"),
+            selearn_obs::counter_get("design_matrix_nonzeros"),
             selearn_obs::counter_get("mc_samples_drawn"),
             selearn_obs::metrics::histogram_get("fista.residual").map_or(0, |h| h.count),
         );
@@ -86,8 +87,57 @@ fn pipeline_counters_match_serial_under_forced_parallelism() {
     let ser = snapshot(1);
     let par = snapshot(4);
     assert!(ser.0 > 0, "fixture fit must split the quadtree");
-    assert!(ser.3 > 0, "fixture fit must run FISTA iterations");
+    assert!(ser.4 > 0, "fixture fit must run FISTA iterations");
     assert_eq!(ser, par, "aggregates diverged between 1 and 4 threads");
+}
+
+/// A checkpoint's `OnlineQuadHist::freeze` solves the weight program
+/// once — the batch fit on the window — even with observations pending
+/// since the last scheduled refit. Counted as the `estimate_weights` spans
+/// a `MemorySink` receives, plus the sparsity counters the assembly feeds.
+#[test]
+fn online_freeze_runs_one_weight_solve() {
+    let _g = TEST_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let train = fixture_train();
+    let mut online =
+        OnlineQuadHist::new(Rect::unit(2), QuadHistConfig::with_tau(0.02), 64).unwrap();
+    for q in &train[..200] {
+        online.observe(q.clone()).unwrap();
+    }
+
+    selearn_obs::reset();
+    let sink = std::sync::Arc::new(selearn_obs::MemorySink::new());
+    selearn_obs::set_sink(sink.clone());
+    let frozen = online.freeze();
+    selearn_obs::clear_sink();
+    let entries = selearn_obs::counter_get("design_matrix_entries");
+    let nonzeros = selearn_obs::counter_get("design_matrix_nonzeros");
+    selearn_obs::reset();
+    assert!(frozen.unwrap().num_buckets() > 1);
+
+    let solves: Vec<String> = sink
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            selearn_obs::Event::Span { path, .. } if path.ends_with("estimate_weights") => {
+                Some(path)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        solves.len(),
+        1,
+        "freeze ran {} weight solves: {solves:?}",
+        solves.len()
+    );
+    assert!(solves[0].starts_with("freeze.online/"), "{}", solves[0]);
+    assert!(
+        0 < nonzeros && nonzeros < entries,
+        "{nonzeros} nonzeros of {entries} design-matrix entries"
+    );
 }
 
 /// NullSink overhead measurement on the `speedup_measurement_quadhist_10k`

@@ -194,3 +194,61 @@ fn quadhist_linf_and_nnls_solvers_match_serial() {
         }
     }
 }
+
+/// Sparse assembly and the CSR kernels under 4 threads are bitwise the
+/// 1-thread results — and the dense kernels' results — on a design matrix
+/// large enough to cross every parallel dispatch threshold.
+#[test]
+fn sparse_assembly_and_kernels_match_serial_bitwise() {
+    use selearn_core::assemble::assemble_design_matrix;
+    use selearn_solver::SparseMatrix;
+
+    let (_, train, _) = fixture();
+    let cells: Vec<Rect> = (0..32 * 32)
+        .map(|c| {
+            let (x, y) = ((c % 32) as f64 / 32.0, (c / 32) as f64 / 32.0);
+            Rect::new(vec![x, y], vec![x + 1.0 / 32.0, y + 1.0 / 32.0])
+        })
+        .collect();
+    let volume = selearn_geom::VolumeEstimator::default();
+    let build = |q: &TrainingQuery| -> Vec<f64> {
+        cells
+            .iter()
+            .map(|c| q.range.intersection_volume(c, &volume) / c.volume())
+            .collect()
+    };
+    let par = with_threads(4, || assemble_design_matrix(&train, cells.len(), build));
+    let ser = with_threads(1, || assemble_design_matrix(&train, cells.len(), build));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let rows_bits = |a: &SparseMatrix| {
+        (0..a.rows())
+            .map(|i| (a.row(i).0.to_vec(), bits(a.row(i).1)))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(rows_bits(&par), rows_bits(&ser), "assembly differs");
+    // above the kernels' 32k multiply-add dispatch threshold
+    assert!(
+        ser.nnz() > 32_768,
+        "fixture too sparse: {} nonzeros",
+        ser.nnz()
+    );
+    assert!(ser.nnz() < ser.rows() * ser.cols());
+
+    let dense = ser.to_dense();
+    let x: Vec<f64> = (0..ser.cols()).map(|j| (j % 7) as f64 / 7.0).collect();
+    let z: Vec<f64> = (0..ser.rows())
+        .map(|i| if i % 3 == 0 { 0.0 } else { (i as f64).sin() })
+        .collect();
+    for threads in [1, 4] {
+        let (ax, atz, norm) = with_threads(threads, || {
+            (ser.matvec(&x), ser.matvec_t(&z), ser.gram_spectral_norm(30))
+        });
+        assert_eq!(bits(&ax), bits(&dense.matvec(&x)), "matvec @ {threads}");
+        assert_eq!(
+            bits(&atz),
+            bits(&dense.matvec_t(&z)),
+            "matvec_t @ {threads}"
+        );
+        assert_eq!(norm.to_bits(), dense.gram_spectral_norm(30).to_bits());
+    }
+}
